@@ -45,11 +45,11 @@ winner must beat the *untuned default order* by at least
 The section is opt-in at collection time (``REPRO_BENCH_SCALING=1``),
 so a result without it passes this gate vacuously.
 
-A sixth gate reads the fresh ``wavefront`` table (the E19 parallel
-wavefront comparison, see benchmarks/bench_wavefront.py): on the skewed
-stencil rows flagged ``gate``, the ``source-par`` backend must beat the
-scalar ``source`` backend by at least ``WAVEFRONT_MIN_SPEEDUP`` (1.2x)
-with bit-exact outputs.  Like the scaling section it is opt-in at
+A sixth gate reads the fresh ``wavefront`` table (the E19 wavefront
+comparison, see benchmarks/bench_wavefront.py): on the skewed seidel
+stencil at N=256 and 512, ``source-vec`` must beat the scalar
+``source`` backend by at least ``WAVEFRONT_MIN_SPEEDUP`` (6x) with
+bit-exact outputs.  Like the scaling section it is opt-in at
 collection time (``REPRO_BENCH_WAVEFRONT=1`` or
 ``REPRO_BENCH_SCALING=1``), so a result without it passes vacuously.
 
@@ -99,7 +99,7 @@ DEFAULT_FACTOR = 2.0
 DEFAULT_MIN_NS = 1_000_000  # ignore sub-millisecond timings entirely
 TUNE_MIN_SPEEDUP = 0.95  # tuned-vs-default floor; slack for timer noise only
 SCALING_MIN_SPEEDUP = 1.2  # E18 floor: tuning must actually win, not tie
-WAVEFRONT_MIN_SPEEDUP = 1.2  # E19 floor: source-par must beat scalar source
+WAVEFRONT_MIN_SPEEDUP = 6.0  # E19 floor: source-vec over scalar source, skewed seidel
 SERVICE_MIN_SPEEDUP = 5.0  # E20 floor: warm daemon vs cold CLI subprocess
 
 
@@ -172,7 +172,7 @@ def backend_gate(fresh: dict) -> list[str]:
             elif row.get("ok") is not True:
                 failures.append(f"{name}: baseline row not marked ok")
             continue
-        if row.get("backend") not in ("source", "source-vec", "source-par"):
+        if row.get("backend") not in ("source", "source-vec"):
             continue
         if row.get("error"):
             failures.append(f"{name}: backend error: {row['error']}")
@@ -302,25 +302,23 @@ def scaling_table(fresh: dict) -> str:
 def wavefront_gate(fresh: dict) -> list[str]:
     """Absolute checks on the E19 wavefront table; returns failures.
 
-    Every row must be bit-exact (``ok``); rows flagged ``gate`` must
-    additionally clear ``WAVEFRONT_MIN_SPEEDUP`` over the scalar
-    ``source`` backend.  Ungated rows (e.g. cholesky, whose fronts are
-    too narrow to amortise dispatch) appear in the table only.
+    Every row must be bit-exact (``ok``) and clear
+    ``WAVEFRONT_MIN_SPEEDUP`` of ``source-vec`` over the scalar
+    ``source`` backend.
     """
     failures = []
     for row in fresh.get("wavefront", []):
         name = f"{row.get('kernel')}@N={row.get('n')}"
         if row.get("error"):
             failures.append(f"{name}: wavefront bench error: {row['error']}")
-            continue
-        if row.get("ok") is not True:
-            failures.append(f"{name}: source-par output differs from reference")
-        elif row.get("gate") and not (
+        elif row.get("ok") is not True:
+            failures.append(f"{name}: source-vec output differs from reference")
+        elif not (
             isinstance(row.get("speedup"), (int, float))
             and row["speedup"] >= WAVEFRONT_MIN_SPEEDUP
         ):
             failures.append(
-                f"{name}: source-par only {row.get('speedup')}x vs the "
+                f"{name}: source-vec only {row.get('speedup')}x vs the "
                 f"scalar source backend (floor {WAVEFRONT_MIN_SPEEDUP})"
             )
     return failures
@@ -332,25 +330,19 @@ def wavefront_table(fresh: dict) -> str:
     if not rows:
         return ""
     lines = [
-        "| kernel | N | source s | source-par s | speedup | fronts "
-        "| width p50/p99 | gated | ok |",
-        "|---|---:|---:|---:|---:|---:|---:|---|---|",
+        "| kernel | N | source s | source-vec s | speedup | ok |",
+        "|---|---:|---:|---:|---:|---|",
     ]
     for r in rows:
         src = f"{r['source_seconds']:.4f}" if isinstance(
             r.get("source_seconds"), (int, float)) else "-"
-        par = f"{r['par_seconds']:.4f}" if isinstance(
-            r.get("par_seconds"), (int, float)) else "-"
+        vec = f"{r['vec_seconds']:.4f}" if isinstance(
+            r.get("vec_seconds"), (int, float)) else "-"
         speed = f"{r['speedup']:.2f}x" if isinstance(
             r.get("speedup"), (int, float)) else "-"
-        width = "-"
-        if r.get("front_width_p50") is not None:
-            width = f"{r['front_width_p50']:.0f}/{r.get('front_width_p99', 0):.0f}"
-        gated = "yes" if r.get("gate") else "no"
         ok = {True: "yes", False: "NO", None: "-"}[r.get("ok")]
         lines.append(
-            f"| {r.get('kernel')} | {r.get('n')} | {src} | {par} | {speed} "
-            f"| {r.get('fronts', '-')} | {width} | {gated} | {ok} |"
+            f"| {r.get('kernel')} | {r.get('n')} | {src} | {vec} | {speed} | {ok} |"
         )
     return "\n".join(lines)
 
@@ -580,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     wavefront_failures = wavefront_gate(fresh)
     wtable = wavefront_table(fresh)
     if wtable:
-        print("\nwavefront parallel comparison (E19):")
+        print("\nwavefront source-vec vs source (E19):")
         print(wtable)
     for failure in wavefront_failures:
         print(f"  [WAVEFRONT FAIL] {failure}")
@@ -623,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
             f.write("\n### Tiling/fusion scaling curves (E18)\n\n" + stable + "\n")
     if args.summary is not None and wtable:
         with args.summary.open("a") as f:
-            f.write("\n### Wavefront source-par vs source (E19)\n\n" + wtable + "\n")
+            f.write("\n### Wavefront source-vec vs source (E19)\n\n" + wtable + "\n")
     if args.summary is not None and svtable:
         with args.summary.open("a") as f:
             f.write(

@@ -215,18 +215,18 @@ def collect_scaling_results() -> list[dict]:
 
 
 def collect_wavefront_results() -> list[dict]:
-    """The wavefront parallel comparison (E19): ``source-par`` versus the
-    scalar ``source`` backend on a skewed 2-D Gauss-Seidel stencil (the
-    canonical wavefront workload — ``skew(I,J,1)`` turns its diagonal
-    dependence pattern into DOALL fronts) and on cholesky (narrow
-    triangular fronts; reported for the table but not gated, since
-    dispatch overhead legitimately eats the win there).  ``compare.py``
-    gates the stencil rows on bit-exact outputs and on source-par
-    clearing :data:`benchmarks.compare.WAVEFRONT_MIN_SPEEDUP`.
+    """The wavefront comparison (E19): ``source-vec`` versus the scalar
+    ``source`` backend on a skewed 2-D Gauss-Seidel stencil at N=256
+    and 512.  ``skew(I,J,1)`` turns the stencil's diagonal dependence
+    pattern into DOALL anti-diagonal fronts, each run as one slice
+    assignment through flat strided views.  ``compare.py`` gates every
+    row on bit-exact outputs and on ``source-vec`` clearing
+    :data:`benchmarks.compare.WAVEFRONT_MIN_SPEEDUP`.
 
-    Opt-in via ``REPRO_BENCH_WAVEFRONT=1`` (the CI par-smoke job, which
-    skips the minutes-long E18 scaling tune) or ``REPRO_BENCH_SCALING=1``
-    (full local runs get it alongside the scaling curves).
+    Opt-in via ``REPRO_BENCH_WAVEFRONT=1`` (the CI job that gates E19
+    without the minutes-long E18 scaling tune) or
+    ``REPRO_BENCH_SCALING=1`` (full local runs get it alongside the
+    scaling curves).
     """
     import os
 
@@ -235,11 +235,10 @@ def collect_wavefront_results() -> list[dict]:
         return []
     import numpy as np
 
-    from repro import obs
     from repro.backend import run, time_backend
     from repro.codegen import generate_code
     from repro.codegen.simplify import simplify_program
-    from repro.kernels import cholesky, seidel_2d
+    from repro.kernels import seidel_2d
     from repro.transform.spec import parse_schedule
 
     sched = parse_schedule(seidel_2d(), "skew(I, J, 1)")
@@ -248,46 +247,31 @@ def collect_wavefront_results() -> list[dict]:
     skewed = skewed.with_body(skewed.body, name="seidel_2d_skewed")
 
     rows = []
-    for program, n, gated in (
-        (skewed, 256, True),
-        (cholesky(), 64, False),
-    ):
+    for n in (256, 512):
         params = {"N": n}
         try:
-            expected = run(program, params, backend="reference")
-            # Harvest front shape from one correctness run so the
-            # counters are per-run, not accumulated over timing reps.
-            mem = obs.MemorySink()
-            with obs.session(mem) as sess:
-                got = run(program, params, backend="source-par")
-                fronts = sess.counters.get("backend.wavefront.fronts", 0)
-                hist = sess.histograms.get("backend.wavefront.front_width")
+            expected = run(skewed, params, backend="reference")
+            got = run(skewed, params, backend="source-vec")
             ok = all(
                 np.array_equal(expected.arrays[k], got.arrays[k])
                 for k in expected.arrays
             )
-            source_s = time_backend(program, params, backend="source", repeat=3)
-            par_s = time_backend(program, params, backend="source-par", repeat=3)
+            source_s = time_backend(skewed, params, backend="source", repeat=3)
+            vec_s = time_backend(skewed, params, backend="source-vec", repeat=3)
             rows.append({
-                "kernel": program.name,
+                "kernel": skewed.name,
                 "n": n,
                 "source_seconds": source_s,
-                "par_seconds": par_s,
-                "speedup": source_s / par_s if par_s else None,
-                "fronts": fronts,
-                "front_width_p50": hist.p50 if hist else None,
-                "front_width_p99": hist.p99 if hist else None,
-                "gate": gated,
+                "vec_seconds": vec_s,
+                "speedup": source_s / vec_s if vec_s else None,
                 "ok": ok,
                 "error": "",
             })
         except Exception as exc:
             rows.append({
-                "kernel": program.name, "n": n,
-                "source_seconds": None, "par_seconds": None,
-                "speedup": None, "fronts": None,
-                "front_width_p50": None, "front_width_p99": None,
-                "gate": gated, "ok": False, "error": str(exc),
+                "kernel": skewed.name, "n": n,
+                "source_seconds": None, "vec_seconds": None,
+                "speedup": None, "ok": False, "error": str(exc),
             })
     return rows
 

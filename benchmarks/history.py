@@ -26,7 +26,7 @@ Row schema (one JSON object per line)::
         "scaling:<kernel>@<n>:untuned_seconds": ...,
         "scaling:<kernel>@<n>:speedup": ...,
         "wavefront:<kernel>@<n>:source_seconds": ...,
-        "wavefront:<kernel>@<n>:par_seconds": ...,
+        "wavefront:<kernel>@<n>:vec_seconds": ...,
         "wavefront:<kernel>@<n>:speedup": ...,
         "service:<kernel>/<op>:cold_seconds": ...,
         "service:<kernel>/<op>:warm_seconds": ...,
@@ -119,7 +119,7 @@ def metrics_from_result(payload: dict) -> dict[str, float]:
                 metrics[f"{name}:{key}"] = float(row[key])
     for row in payload.get("wavefront", []):
         name = f"wavefront:{row.get('kernel')}@{row.get('n')}"
-        for key in ("source_seconds", "par_seconds", "speedup"):
+        for key in ("source_seconds", "vec_seconds", "speedup"):
             if isinstance(row.get(key), (int, float)):
                 metrics[f"{name}:{key}"] = float(row[key])
     for row in payload.get("service", []):

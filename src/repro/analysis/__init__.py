@@ -5,7 +5,7 @@ from repro.analysis.parallel import (
     LoopParallelism, outer_parallel_unit_rows, parallel_loops,
 )
 from repro.analysis.graph import (
-    dependence_graph, distribution_plan, maximal_distribution,
+    DependenceGraph, dependence_graph, distribution_plan, maximal_distribution,
 )
 from repro.analysis.search import SearchResult, search_loop_orders
 
@@ -13,5 +13,6 @@ __all__ = [
     "parallel_loops", "LoopParallelism", "outer_parallel_unit_rows",
     "reuse_distances", "reuse_histogram", "locality_score",
     "search_loop_orders", "SearchResult",
-    "dependence_graph", "distribution_plan", "maximal_distribution",
+    "DependenceGraph", "dependence_graph", "distribution_plan",
+    "maximal_distribution",
 ]

@@ -6,7 +6,7 @@ This module makes that observation algorithmic in the classical
 Allen–Kennedy style:
 
 * :func:`dependence_graph` — statements as nodes, dependences as edges
-  (networkx DiGraph), optionally restricted to the dependences *not*
+  (:class:`DependenceGraph`), optionally restricted to the dependences *not*
   carried outside a given loop;
 * :func:`maximal_distribution` — recursively split every multi-child
   loop around the strongly connected components of its level-restricted
@@ -16,7 +16,8 @@ Allen–Kennedy style:
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
+from dataclasses import dataclass, field
 
 from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix
@@ -24,12 +25,34 @@ from repro.instance.layout import Layout, Path
 from repro.ir.ast import Loop, Program
 from repro.util.errors import TransformError
 
-__all__ = ["dependence_graph", "maximal_distribution", "distribution_plan"]
+__all__ = [
+    "DependenceGraph", "dependence_graph", "maximal_distribution",
+    "distribution_plan",
+]
+
+
+@dataclass
+class DependenceGraph:
+    """Statement labels (source order) and the dependences between
+    them, grouped per ``(src, dst)`` edge."""
+
+    nodes: list[str]
+    edges: dict[tuple[str, str], list] = field(default_factory=dict)
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return (u, v) in self.edges
+
+    def sccs(self) -> list[list[str]]:
+        """Strongly connected components, in reverse topological order."""
+        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for u, v in self.edges:
+            succ[u].append(v)
+        return _sccs(self.nodes, succ)
 
 
 def dependence_graph(
     deps: DependenceMatrix, *, at_loop: Path | None = None
-) -> "nx.DiGraph":
+) -> DependenceGraph:
     """Statement-level dependence graph.
 
     With ``at_loop``, only dependences relevant to distributing that
@@ -38,10 +61,10 @@ def dependence_graph(
     regardless of how the body is split).
     """
     layout = deps.layout
-    g = nx.DiGraph()
-    for label in layout.statement_labels():
-        if at_loop is None or _inside(layout, label, at_loop):
-            g.add_node(label)
+    g = DependenceGraph([
+        label for label in layout.statement_labels()
+        if at_loop is None or _inside(layout, label, at_loop)
+    ])
     outer_positions: list[int] = []
     if at_loop is not None:
         outer_positions = [
@@ -55,11 +78,82 @@ def dependence_graph(
                 continue
             if _definitely_carried(d, outer_positions):
                 continue
-        if g.has_edge(d.src, d.dst):
-            g[d.src][d.dst]["deps"].append(d)
-        else:
-            g.add_edge(d.src, d.dst, deps=[d])
+        g.edges.setdefault((d.src, d.dst), []).append(d)
     return g
+
+
+def _sccs(nodes, succ) -> list[list]:
+    """Tarjan's strongly connected components, in reverse topological
+    order.  Iterative, so a long statement chain cannot hit Python's
+    recursion limit."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out: list[list] = []
+
+    def visit(v) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(succ[v])))
+
+    for root in nodes:
+        if root in index:
+            continue
+        work: list = []
+        visit(root)
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
+
+
+def _ordered_components(nodes: range, succ: dict[int, set[int]]) -> list[list[int]]:
+    """The SCCs of a graph over integer nodes, each sorted, ordered
+    topologically with ties broken by smallest member (Kahn's algorithm
+    over the condensation with a min-heap), so independent groups keep
+    source order."""
+    comps = [sorted(c) for c in _sccs(nodes, succ)]
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    csucc: list[set[int]] = [set() for _ in comps]
+    for u, vs in succ.items():
+        for v in vs:
+            if comp_of[u] != comp_of[v]:
+                csucc[comp_of[u]].add(comp_of[v])
+    indeg = [0] * len(comps)
+    for out in csucc:
+        for j in out:
+            indeg[j] += 1
+    ready = [(c[0], i) for i, c in enumerate(comps) if indeg[i] == 0]
+    heapq.heapify(ready)
+    order: list[list[int]] = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(comps[i])
+        for j in csucc[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, (comps[j][0], j))
+    if len(order) != len(comps):  # pragma: no cover - condensation is acyclic
+        raise TransformError("cycle among distribution groups")
+    return order
 
 
 def _inside(layout: Layout, label: str, path: Path) -> bool:
@@ -98,50 +192,16 @@ def distribution_plan(
         if len(node.body) < 2:
             continue
         g = dependence_graph(deps, at_loop=coord.path)
-        # map statements to the child of this loop they live under
-        child_of: dict[str, int] = {}
-        for label in g.nodes:
-            child_of[label] = layout.statement_path(label)[len(coord.path)]
-        # collapse statements to children, keeping edges
-        cg = nx.DiGraph()
-        cg.add_nodes_from(range(len(node.body)))
+        # collapse statements to the child of this loop they live under
+        depth = len(coord.path)
+        succ: dict[int, set[int]] = {c: set() for c in range(len(node.body))}
         for u, v in g.edges:
-            cu, cv = child_of[u], child_of[v]
+            cu = layout.statement_path(u)[depth]
+            cv = layout.statement_path(v)[depth]
             if cu != cv:
-                cg.add_edge(cu, cv)
-        sccs = list(nx.strongly_connected_components(cg))
-        cond = nx.condensation(cg, scc=sccs)
-        order = list(nx.topological_sort(cond))
-        groups = [sorted(cond.nodes[i]["members"]) for i in order]
-        # keep source order among independent groups for determinism:
-        # stable sort by smallest child index, then re-check topology
-        groups.sort(key=lambda grp: grp[0])
-        groups = _stable_topo(groups, cg)
-        plan[coord.path] = groups
+                succ[cu].add(cv)
+        plan[coord.path] = _ordered_components(range(len(node.body)), succ)
     return plan
-
-
-def _stable_topo(groups: list[list[int]], cg: "nx.DiGraph") -> list[list[int]]:
-    """Order groups topologically, breaking ties by source order."""
-    remaining = list(groups)
-    out: list[list[int]] = []
-    while remaining:
-        for grp in remaining:
-            # grp is ready iff no other remaining group has an edge into it
-            ready = True
-            for other in remaining:
-                if other is grp:
-                    continue
-                if any(cg.has_edge(u, v) for u in other for v in grp):
-                    ready = False
-                    break
-            if ready:
-                out.append(grp)
-                remaining.remove(grp)
-                break
-        else:  # pragma: no cover - condensation is acyclic
-            raise TransformError("cycle among distribution groups")
-    return out
 
 
 def maximal_distribution(

@@ -1,12 +1,10 @@
 """Execution backends: lower IR programs to compiled, optionally
-vectorized and wavefront-parallel Python/NumPy source.
+vectorized Python/NumPy source.
 
-See docs/BACKENDS.md and docs/PARALLEL.md.  The public surface is
-:func:`run` (execute a program with any registered backend),
-:data:`BACKENDS` (the registry), :func:`bench_backends` (wall-clock
-comparison with output cross-checks) and the lower-level
-:func:`lower_program`.  The ``source-par`` backend's planning and
-worker-pool knobs live in :mod:`repro.backend.wavefront`.
+See docs/BACKENDS.md.  The public surface is :func:`run` (execute a
+program with any registered backend), :data:`BACKENDS` (the registry),
+:func:`bench_backends` (wall-clock comparison with output cross-checks)
+and the lower-level :func:`lower_program`.
 """
 
 from repro.backend.lower import LoweredProgram, lower_program
@@ -15,15 +13,9 @@ from repro.backend.runtime import (
     time_backend,
 )
 from repro.backend.vectorize import VecPlan, doall_loop_vars, plan_vector_loop
-from repro.backend.wavefront import (
-    FrontPlan, collect_front_plans, par_jobs, plan_front_loop,
-    resolve_par_jobs,
-)
 
 __all__ = [
-    "BACKENDS", "BackendTiming", "FrontPlan", "LoweredProgram", "VecPlan",
-    "bench_backends", "collect_front_plans", "doall_loop_vars",
-    "lower_cached", "lower_program", "par_jobs", "plan_front_loop",
-    "plan_vector_loop", "resolve_par_jobs", "run", "run_lowered",
-    "time_backend",
+    "BACKENDS", "BackendTiming", "LoweredProgram", "VecPlan",
+    "bench_backends", "doall_loop_vars", "lower_cached", "lower_program",
+    "plan_vector_loop", "run", "run_lowered", "time_backend",
 ]

@@ -35,21 +35,22 @@ Lowering rules (see docs/BACKENDS.md for the full catalogue):
   ~3x faster than NumPy scalar ops);
 * innermost DOALL loops whose statement passes
   :func:`repro.backend.vectorize.plan_vector_loop` become a single NumPy
-  slice assignment (``vectorize=True`` only);
-* with ``parallel=True`` (the ``source-par`` backend), the outermost
-  DOALL loop of each subtree becomes a *wavefront* loop: its body is
-  emitted as a local function and every front (one value range of the
-  loop) is dispatched through
-  :func:`repro.backend.wavefront._wf_dispatch`, which chunks it across
-  a worker pool with a barrier per front.  Single-statement fronts
-  render as flat strided views (``_fview``/``_fread``), which — unlike
-  per-dimension slices — also map references varying with the front
-  variable in several dimensions (the diagonals skewing produces).
+  slice assignment (``vectorize=True`` only).  A reference varying with
+  the loop variable in one dimension renders as a per-dimension
+  ``_vslice``; one varying in several (``A(I-J, J)`` after a skew) as a
+  flat strided view (``_fview``) of the C-ordered array.
 
 The scalar path is *exact*: it produces bit-identical floats to the
-reference executor.  The backend does not re-validate subscript ranges
-(NumPy raises ``IndexError`` past the end but wraps negative indices),
-which is the documented speed/checking trade-off.
+reference executor.  Subscript ranges are checked only where that is
+cheap: scalar indexing raises ``IndexError`` past the end, and flat
+views check both endpoints of every dimension (both end in
+``InterpError`` through :func:`repro.backend.runtime.run_lowered`).
+NumPy wraps a negative scalar index, though, and a per-dimension
+``_vslice`` running past the end is silently *truncated*: a scalar RHS
+then broadcasts into the shorter slice and the write "succeeds" (slices
+of different lengths raise NumPy's ``ValueError``, also mapped to
+``InterpError``).  A check per slice costs more than a small slice
+statement; that is the documented speed/checking trade-off.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ import numpy as np
 
 from repro.backend.vectorize import (
     VEC_FUNCTIONS, VecPlan, doall_loop_vars, plan_vector_loop,
-)
-from repro.backend.wavefront import (
-    FrontPlan, _fread, _fview, _wf_dispatch, collect_front_plans,
 )
 from repro.ir.ast import (
     ArrayDecl, BoundSet, ExprCondition, Guard, HullBound, Loop, Node, Program,
@@ -113,14 +111,42 @@ def _vslice(lo: int, hi: int, c: int, off: int) -> slice:
     return slice(c * lo + off, stop if stop >= 0 else None, c)
 
 
+def _fview(a, lo: int, hi: int, cs: tuple[int, ...], offs: tuple[int, ...]):
+    """The 1-D view selecting the cells ``(cs[k]*v + offs[k])_k`` of the
+    C-ordered array ``a`` for ``v`` in ``lo..hi`` (``lo <= hi``).
+
+    Those cells are an arithmetic progression of flat indices; see
+    docs/BACKENDS.md for why a slice assignment through it equals the
+    sequential loop.  Both
+    endpoints of every dimension are checked against its extent —
+    subscripts are affine in ``v``, so that covers every cell — because
+    past an extent the flat index would silently wrap into the next row.
+    """
+    if not a.flags.c_contiguous:
+        raise InterpError("flat strided view requires a C-contiguous array")
+    # Horner over the extents: flat index of the v = lo cell, and the
+    # flat step per unit of v.
+    start = step = 0
+    for c, o, n in zip(cs, offs, a.shape):
+        first = c * lo + o
+        last = c * hi + o
+        if first < 0 or last < 0 or first >= n or last >= n:
+            raise IndexError(f"subscript leaves 0..{n - 1} for v in {lo}..{hi}")
+        start = start * n + first
+        step = step * n + c
+    # In range, distinct v select distinct cells, so step == 0 only
+    # when lo == hi; any nonzero step then selects the one cell.
+    step = step or 1
+    stop = start + step * (hi - lo) + (1 if step > 0 else -1)
+    return a.reshape(-1)[start : (stop if stop >= 0 else None) : step]
+
+
 _EXEC_GLOBALS: dict[str, object] = {
     "_np": np,
     "_round_index": _round_index,
     "_exact_div": _exact_div,
     "_vslice": _vslice,
-    "_wf_dispatch": _wf_dispatch,
     "_fview": _fview,
-    "_fread": _fread,
 }
 for _name, _fn in BUILTIN_FUNCTIONS.items():
     _EXEC_GLOBALS[f"_fn_{_name}"] = _fn
@@ -137,14 +163,13 @@ class _Ctx:
     scope: frozenset[str]
     arrays: dict[str, ArrayDecl]
     plans: dict[int, VecPlan]
-    fronts: dict[int, FrontPlan] = field(default_factory=dict)
     vec: VecPlan | None = None
 
     def bind(self, var: str) -> "_Ctx":
-        return _Ctx(self.scope | {var}, self.arrays, self.plans, self.fronts, self.vec)
+        return _Ctx(self.scope | {var}, self.arrays, self.plans, self.vec)
 
     def vectorizing(self, plan: VecPlan) -> "_Ctx":
-        return _Ctx(self.scope, self.arrays, self.plans, self.fronts, plan)
+        return _Ctx(self.scope, self.arrays, self.plans, plan)
 
 
 class _Emitter:
@@ -246,10 +271,8 @@ def _render_index(sub: Expr, lo: LinExpr, ctx: _Ctx) -> str:
 def _render_array_ref(ref: ArrayRef, ctx: _Ctx, *, target: bool = False) -> tuple[str, bool]:
     """Render a reference; returns ``(code, is_vector)``.
 
-    ``target`` marks the LHS of an assignment; it only matters for flat
-    wavefront plans, where the write side renders as a ``_fview`` slice
-    target and the read side as ``_fread`` (whose zero-stride case
-    collapses to a broadcast scalar, legal for reads only).
+    ``target`` marks the LHS of an assignment: a flat view is then
+    assigned through ``[:]`` rather than rebound.
     """
     decl = ctx.arrays.get(ref.array)
     if decl is None:
@@ -259,40 +282,31 @@ def _render_array_ref(ref: ArrayRef, ctx: _Ctx, *, target: bool = False) -> tupl
             f"{ref.array} has rank {decl.rank}, got {len(ref.subscripts)} subscripts"
         )
     vec = ctx.vec
-    if vec is not None and vec.flat:
-        # Wavefront front: the plan guaranteed affine subscripts.  A
-        # reference varying with the front variable in several
-        # dimensions has no per-dimension slice form, but its cells are
-        # an arithmetic progression of *flat* indices.
-        lins = [as_affine(sub) for sub in ref.subscripts]
-        if sum(1 for lin in lins if lin[vec.var] != 0) > 1:
-            cs: list[str] = []
-            offs: list[str] = []
-            for lin, (lo, _hi) in zip(lins, decl.dims):
-                c = lin[vec.var]
-                cs.append(str(c))
-                offs.append(_render_lin(lin + LinExpr({vec.var: -c}) - lo))
-            fn = "_fview" if target else "_fread"
-            code = (
-                f"{fn}(_a_{ref.array}, _l_{vec.var}, _h_{vec.var}, "
-                f"({', '.join(cs)}), ({', '.join(offs)}))"
-            )
-            return (code + "[:]" if target else code), True
-    dims: list[str] = []
-    is_vector = False
+    if vec is None:
+        dims = [_render_index(sub, lo, ctx) for sub, (lo, _hi) in zip(ref.subscripts, decl.dims)]
+        return f"_a_{ref.array}[{', '.join(dims)}]", False
+    # plan_vector_loop guaranteed affine subscripts: dimension k is
+    # c*v + rest, a plain index where c == 0.
+    v = vec.var
+    parts = []
     for sub, (lo, _hi) in zip(ref.subscripts, decl.dims):
-        if vec is not None:
-            lin = as_affine(sub)  # plan_vector_loop guaranteed affine
-            c = lin[vec.var]
-            if c != 0:
-                rest = lin + LinExpr({vec.var: -c}) - lo
-                dims.append(f"_vslice(_l_{vec.var}, _h_{vec.var}, {c}, {_render_lin(rest)})")
-                is_vector = True
-                continue
-            dims.append(_render_lin(lin - lo))
-        else:
-            dims.append(_render_index(sub, lo, ctx))
-    return f"_a_{ref.array}[{', '.join(dims)}]", is_vector
+        lin = as_affine(sub)
+        c = lin[v]
+        parts.append((c, _render_lin(lin + LinExpr({v: -c}) - lo)))
+    varying = sum(1 for c, _ in parts if c != 0)
+    if varying > 1:
+        # Several varying dimensions (so rank >= 2): a flat view.
+        code = (
+            f"_fview(_a_{ref.array}, _l_{v}, _h_{v}, "
+            f"({', '.join(str(c) for c, _ in parts)}), "
+            f"({', '.join(rest for _, rest in parts)}))"
+        )
+        return (code + "[:]" if target else code), True
+    dims = [
+        f"_vslice(_l_{v}, _h_{v}, {c}, {rest})" if c else rest
+        for c, rest in parts
+    ]
+    return f"_a_{ref.array}[{', '.join(dims)}]", varying == 1
 
 
 def _render_value(e: Expr, ctx: _Ctx) -> str:
@@ -354,35 +368,6 @@ def _emit_guard(g: Guard, ctx: _Ctx, em: _Emitter, stats: dict) -> None:
 def _emit_loop(loop: Loop, ctx: _Ctx, em: _Emitter, stats: dict) -> None:
     lo = _render_bound(loop.lower)
     hi = _render_bound(loop.upper)
-    fplan = ctx.fronts.get(id(loop))
-    if fplan is not None:
-        stats["wavefront"] += 1
-        v = loop.var
-        em.line(f"_l_{v} = {lo}")
-        em.line(f"_h_{v} = {hi}")
-        # The front body as a local function: _wf_dispatch calls it once
-        # per chunk with a sub-range of [_l, _h] and blocks until every
-        # chunk returns (the inter-front barrier).  Parameter names
-        # shadow the bound temporaries so the slice renderer works
-        # unchanged on the chunk's own range.
-        em.line(f"def _wf_body_{v}(_l_{v}, _h_{v}):")
-        with em.indent():
-            if fplan.mode == "slice":
-                assert fplan.plan is not None
-                vctx = ctx.bind(v).vectorizing(fplan.plan)
-                if fplan.plan.needs_iota:
-                    em.line(f"_vv_{v} = _np.arange(_l_{v}, _h_{v} + 1, dtype=float)")
-                st = loop.body[0]
-                assert isinstance(st, Statement)
-                lhs, is_vector = _render_array_ref(st.lhs, vctx, target=True)
-                assert is_vector
-                em.line(f"{lhs} = {_render_value(st.rhs, vctx)}")
-            else:
-                em.line(f"for {v} in range(_l_{v}, _h_{v} + 1):")
-                with em.indent():
-                    _emit_block(loop.body, ctx.bind(v), em, stats)
-        em.line(f"_wf_dispatch(_l_{v}, _h_{v}, _wf_body_{v})")
-        return
     plan = ctx.plans.get(id(loop))
     if plan is not None:
         stats["vectorized"] += 1
@@ -396,7 +381,7 @@ def _emit_loop(loop: Loop, ctx: _Ctx, em: _Emitter, stats: dict) -> None:
                 em.line(f"_vv_{v} = _np.arange(_l_{v}, _h_{v} + 1, dtype=float)")
             st = loop.body[0]
             assert isinstance(st, Statement)
-            lhs, is_vector = _render_array_ref(st.lhs, vctx)
+            lhs, is_vector = _render_array_ref(st.lhs, vctx, target=True)
             assert is_vector
             em.line(f"{lhs} = {_render_value(st.rhs, vctx)}")
         return
@@ -434,10 +419,7 @@ class LoweredProgram:
 
     ``vectorized_loops`` counts loops emitted as slice assignments;
     ``fallback_loops`` counts innermost DOALL loops that had to stay
-    scalar (non-affine subscript, multi-statement body, scalar reads...);
-    ``wavefront_loops`` counts loops dispatched as wavefront fronts
-    (``parallel=True`` only — zero means source-par degraded to the
-    serial source-vec emission).
+    scalar (non-affine subscript, multi-statement body, scalar reads...).
     """
 
     program: Program
@@ -445,8 +427,6 @@ class LoweredProgram:
     vectorize: bool
     vectorized_loops: int
     fallback_loops: int
-    parallel: bool
-    wavefront_loops: int
     fn: Callable = field(repr=False)
 
 
@@ -467,17 +447,9 @@ def _check_identifiers(program: Program) -> None:
 
 
 def _collect_plans(
-    program: Program,
-    doall: frozenset[str],
-    stats: dict,
-    exclude: frozenset[int] = frozenset(),
+    program: Program, doall: frozenset[str], stats: dict
 ) -> dict[int, VecPlan]:
-    """Map id(loop) -> plan for every vectorizable innermost DOALL loop.
-
-    ``exclude`` holds ids of loops already claimed as wavefront fronts —
-    they are emitted by the front path, so planning (or counting them as
-    scalar fallbacks) here would be wrong.
-    """
+    """Map id(loop) -> plan for every vectorizable innermost DOALL loop."""
     arrays = {d.name: d for d in program.arrays}
     plans: dict[int, VecPlan] = {}
 
@@ -485,7 +457,7 @@ def _collect_plans(
         if isinstance(node, Loop):
             inner = scope | {node.var}
             has_subloop = any(isinstance(c, (Loop, Guard)) for c in node.body)
-            if node.var in doall and not has_subloop and id(node) not in exclude:
+            if node.var in doall and not has_subloop:
                 plan = plan_vector_loop(node, scope, arrays)
                 if plan is not None:
                     plans[id(node)] = plan
@@ -504,33 +476,22 @@ def _collect_plans(
 
 
 def lower_program(
-    program: Program, *, vectorize: bool = False, parallel: bool = False, deps=None
+    program: Program, *, vectorize: bool = False, deps=None
 ) -> LoweredProgram:
     """Lower ``program`` to a compiled Python function.
 
     With ``vectorize=True``, innermost DOALL loops (per this library's
     own dependence analysis — pass ``deps`` to reuse a precomputed
     matrix) are emitted as NumPy slice assignments when legal.
-
-    With ``parallel=True`` (the ``source-par`` backend), the outermost
-    DOALL loop of each subtree is additionally dispatched as wavefront
-    fronts over the worker pool (:mod:`repro.backend.wavefront`); when
-    no wavefront band exists the emission is identical to the serial
-    one — graceful degradation, recorded as ``wavefront_loops == 0``.
     """
-    with span("backend.lower", program=program.name, vectorize=vectorize,
-              parallel=parallel):
+    with span("backend.lower", program=program.name, vectorize=vectorize):
         _check_identifiers(program)
-        stats = {"vectorized": 0, "fallback": 0, "wavefront": 0}
+        stats = {"vectorized": 0, "fallback": 0}
         plans: dict[int, VecPlan] = {}
-        fronts: dict[int, FrontPlan] = {}
-        if vectorize or parallel:
+        if vectorize:
             doall = doall_loop_vars(program, deps)
-            if parallel:
-                fronts = collect_front_plans(program, doall)
-            if vectorize and doall:
-                plans = _collect_plans(program, doall, stats,
-                                       exclude=frozenset(fronts))
+            if doall:
+                plans = _collect_plans(program, doall, stats)
 
         em = _Emitter()
         em.line("_s = _scalars")
@@ -539,13 +500,10 @@ def lower_program(
         for decl in program.arrays:
             em.line(f"_a_{decl.name} = _arrays[{decl.name!r}]")
         ctx = _Ctx(frozenset(program.params),
-                   {d.name: d for d in program.arrays}, plans, fronts)
+                   {d.name: d for d in program.arrays}, plans)
         _emit_block(program.body, ctx, em, stats)
 
-        header = (
-            f"# lowered from {program.name!r} "
-            f"(vectorize={vectorize}, parallel={parallel})\n"
-        )
+        header = f"# lowered from {program.name!r} (vectorize={vectorize})\n"
         src = header + "def _kernel(_arrays, _params, _scalars):\n" + "\n".join(em.lines) + "\n"
         code = compile(src, f"<repro-backend:{program.name}>", "exec")
         g = dict(_EXEC_GLOBALS)
@@ -554,15 +512,11 @@ def lower_program(
         counter("backend.lowerings")
         counter("backend.vectorized_loops", stats["vectorized"])
         counter("backend.scalar_fallbacks", stats["fallback"])
-        if parallel:
-            counter("backend.wavefront_loops", stats["wavefront"])
         return LoweredProgram(
             program=program,
             source=src,
             vectorize=vectorize,
             vectorized_loops=stats["vectorized"],
             fallback_loops=stats["fallback"],
-            parallel=parallel,
-            wavefront_loops=stats["wavefront"],
             fn=g["_kernel"],
         )

@@ -1,30 +1,22 @@
 """Backend registry and the single execution entry point.
 
-Five backends run any IR program against the same
+Three backends run any IR program against the same
 :class:`~repro.interp.ArrayStore` inputs:
 
 ``reference``
     The tree-walking interpreter (:func:`repro.interp.execute`) — the
     semantic ground truth every other backend is checked against.
-``compiled``
-    The closure compiler (:func:`repro.interp.execute_compiled`).
 ``source``
     :mod:`repro.backend.lower` — the program is emitted as Python
     source, ``compile()``d once and run as native bytecode.  Bit-exact
     vs the reference.
 ``source-vec``
     ``source`` plus NumPy slice assignments for innermost DOALL loops
-    (:mod:`repro.backend.vectorize`).  Equal up to floating-point
-    reassociation in reductions — which DOALL loops do not have, so in
-    practice also exact; the oracles still use the equivalence
-    tolerance.
-``source-par``
-    ``source-vec`` plus wavefront execution
-    (:mod:`repro.backend.wavefront`): the outermost DOALL loop of each
-    subtree is dispatched as chunked fronts over a worker pool, with a
-    barrier between fronts and deterministic chunk order — bit-exact
-    for any ``--par-jobs`` value.  Programs with no wavefront band
-    degrade to the serial ``source-vec`` emission.
+    (:mod:`repro.backend.vectorize`), through per-dimension slices or,
+    for references varying in several dimensions (skewed stencils),
+    flat strided views.  Equal up to floating-point reassociation in
+    reductions — which DOALL loops do not have, so in practice also
+    exact; the oracles still use the equivalence tolerance.
 
 :func:`run` is the one entry point; :func:`bench_backends` times all of
 them on identical inputs and cross-checks their outputs.
@@ -43,7 +35,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.backend.lower import LoweredProgram, lower_program
-from repro.backend.wavefront import par_jobs as _par_jobs_ctx
 from repro.interp.equivalence import outputs_close
 from repro.interp.executor import ArrayStore, execute
 from repro.ir.ast import Program
@@ -56,30 +47,28 @@ __all__ = [
 ]
 
 #: Registry order is also the presentation order in `repro bench`.
-BACKENDS: tuple[str, ...] = (
-    "reference", "compiled", "source", "source-vec", "source-par",
-)
+BACKENDS: tuple[str, ...] = ("reference", "source", "source-vec")
 
 # Lowering cache: keyed by id(program) — safe because each cached
 # LoweredProgram keeps a strong reference to its Program, so an id
 # cannot be reused while its entry is alive.  Bounded LRU.
 _CACHE_SIZE = 64
-_lower_cache: "OrderedDict[tuple[int, bool, bool], LoweredProgram]" = OrderedDict()
+_lower_cache: "OrderedDict[tuple[int, bool], LoweredProgram]" = OrderedDict()
 _lower_lock = Lock()
 
 
 def lower_cached(
-    program: Program, *, vectorize: bool = False, parallel: bool = False, deps=None
+    program: Program, *, vectorize: bool = False, deps=None
 ) -> LoweredProgram:
     """Lower ``program``, memoizing on program identity."""
-    key = (id(program), bool(vectorize), bool(parallel))
+    key = (id(program), bool(vectorize))
     with _lower_lock:
         hit = _lower_cache.get(key)
         if hit is not None:
             _lower_cache.move_to_end(key)
             counter("backend.lower_cache_hits")
             return hit
-    low = lower_program(program, vectorize=vectorize, parallel=parallel, deps=deps)
+    low = lower_program(program, vectorize=vectorize, deps=deps)
     with _lower_lock:
         _lower_cache[key] = low
         while len(_lower_cache) > _CACHE_SIZE:
@@ -95,16 +84,12 @@ def run(
     backend: str = "source",
     init: Callable | None = None,
     deps=None,
-    par_jobs: int | None = None,
 ) -> ArrayStore:
     """Execute ``program`` with the chosen backend; returns the final store.
 
     ``arrays`` overrides initial contents (copied, never mutated), same
     contract as :func:`repro.interp.execute`.  ``deps`` optionally reuses
-    a precomputed dependence matrix for ``source-vec``/``source-par``
-    lowering.  ``par_jobs`` sets the ``source-par`` worker count
-    (default: the ``REPRO_PAR_JOBS`` environment variable, then one per
-    CPU); other backends ignore it.
+    a precomputed dependence matrix for ``source-vec`` lowering.
     """
     if backend not in BACKENDS:
         raise BackendError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
@@ -112,18 +97,8 @@ def run(
     if backend == "reference":
         store, _ = execute(program, params, arrays, init=init)
         return store
-    if backend == "compiled":
-        from repro.interp.compiled import execute_compiled
-
-        return execute_compiled(program, params, arrays, init=init)
-    parallel = backend == "source-par"
-    lowered = lower_cached(
-        program,
-        vectorize=backend in ("source-vec", "source-par"),
-        parallel=parallel,
-        deps=deps,
-    )
-    return run_lowered(lowered, params, arrays, init=init, par_jobs=par_jobs)
+    lowered = lower_cached(program, vectorize=backend == "source-vec", deps=deps)
+    return run_lowered(lowered, params, arrays, init=init)
 
 
 def run_lowered(
@@ -132,9 +107,15 @@ def run_lowered(
     arrays: Mapping[str, np.ndarray] | None = None,
     *,
     init: Callable | None = None,
-    par_jobs: int | None = None,
 ) -> ArrayStore:
-    """Execute an already-lowered program against fresh inputs."""
+    """Execute an already-lowered program against fresh inputs.
+
+    Failures inside the lowered code end in :class:`InterpError`, as on
+    the reference: a division by zero, an unbound scalar, an index out
+    of range, and — on ``source-vec`` — a slice whose length no longer
+    matches the target's (NumPy's broadcast ``ValueError``), which
+    happens when a subscript runs past an array's end.
+    """
     params = dict(params or {})
     store = ArrayStore(lowered.program, params, init)
     if arrays:
@@ -145,21 +126,19 @@ def run_lowered(
                 raise InterpError(
                     f"shape mismatch for {k}: {store.arrays[k].shape} vs {v.shape}"
                 )
-            store.arrays[k] = np.array(v, dtype=float)
+            store.arrays[k] = np.array(v, dtype=float, order="C")
     with span("backend.execute", program=lowered.program.name,
-              vectorize=lowered.vectorize, parallel=lowered.parallel):
+              vectorize=lowered.vectorize):
         try:
-            if lowered.parallel:
-                with _par_jobs_ctx(par_jobs):
-                    lowered.fn(store.arrays, store.params, store.scalars)
-            else:
-                lowered.fn(store.arrays, store.params, store.scalars)
+            lowered.fn(store.arrays, store.params, store.scalars)
         except ZeroDivisionError:
             raise InterpError("division by zero during execution") from None
         except KeyError as exc:
             raise InterpError(f"unbound variable {exc.args[0]!r}") from None
         except IndexError as exc:
             raise InterpError(f"array index out of declared range: {exc}") from None
+        except ValueError as exc:
+            raise InterpError(f"invalid value during execution: {exc}") from None
     return store
 
 
@@ -176,7 +155,6 @@ def time_backend(
     backend: str = "source",
     repeat: int = MIN_TIMING_REPS,
     deps=None,
-    par_jobs: int | None = None,
 ) -> float:
     """Median wall clock of ``max(MIN_TIMING_REPS, repeat)`` runs, after
     one untimed warm-up (which also pays any lowering cost).
@@ -187,13 +165,11 @@ def time_backend(
     best-of, so one noisy repetition cannot reorder a search.
     """
     reps = max(MIN_TIMING_REPS, int(repeat))
-    run(program, params, arrays=arrays, backend=backend, deps=deps,
-        par_jobs=par_jobs)  # warm-up
+    run(program, params, arrays=arrays, backend=backend, deps=deps)  # warm-up
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        run(program, params, arrays=arrays, backend=backend, deps=deps,
-            par_jobs=par_jobs)
+        run(program, params, arrays=arrays, backend=backend, deps=deps)
         times.append(time.perf_counter() - t0)
     counter(f"backend.timings.{backend}")
     return statistics.median(times)
@@ -219,7 +195,6 @@ def bench_backends(
     backends: tuple[str, ...] = BACKENDS,
     repeat: int = 3,
     rtol: float = 1e-9,
-    par_jobs: int | None = None,
 ) -> list[BackendTiming]:
     """Time each backend on identical inputs and cross-check outputs.
 
@@ -240,14 +215,12 @@ def bench_backends(
     with span("backend.bench", program=program.name, n=len(ordered)):
         for b in ordered:
             try:
-                run(program, params, arrays=base, backend=b,
-                    par_jobs=par_jobs)  # warm-up + lowering
+                run(program, params, arrays=base, backend=b)  # warm-up + lowering
                 best = math.inf
                 out = None
                 for _ in range(max(1, repeat)):
                     t0 = time.perf_counter()
-                    store = run(program, params, arrays=base, backend=b,
-                                par_jobs=par_jobs)
+                    store = run(program, params, arrays=base, backend=b)
                     best = min(best, time.perf_counter() - t0)
                     out = store.snapshot()
             except ReproError as exc:

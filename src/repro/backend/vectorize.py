@@ -14,9 +14,9 @@ questions:
 
 2. Can *this* innermost DOALL loop be rewritten as one NumPy slice
    assignment?  :func:`plan_vector_loop` performs the purely syntactic
-   legality checks (single statement, affine subscripts, at most one
-   dimension per array reference varying with the loop, no scalar
-   variables, only elementwise intrinsics).  The semantic half — that a
+   legality checks (single statement, affine subscripts, an LHS that
+   varies with the loop, no scalar variables, only elementwise
+   intrinsics).  The semantic half — that a
    slice assignment, which reads *all* of its inputs before writing, is
    observationally equal to the sequential loop — is exactly the DOALL
    property: by Theorem 2's characterization, no iteration of the loop
@@ -125,16 +125,10 @@ class VecPlan:
     ``needs_iota`` records whether the loop variable appears in a value
     position of the RHS (not just inside subscripts), in which case the
     emitted code materializes ``arange(lo, hi+1)`` for it.
-
-    ``flat`` marks a wavefront front plan
-    (:func:`repro.backend.wavefront.plan_front_loop`): references may
-    vary with the loop variable in *several* dimensions and render as
-    flat strided views instead of per-dimension slices.
     """
 
     var: str
     needs_iota: bool
-    flat: bool = False
 
 
 def plan_vector_loop(
@@ -152,9 +146,11 @@ def plan_vector_loop(
     * unit step, body = exactly one :class:`Statement`, array LHS;
     * every subscript of every array reference is affine over
       ``scope ∪ {loop.var}``;
-    * each array reference varies with the loop variable in at most one
-      dimension (so it maps to a single strided slice), and the LHS in
-      exactly one (so each iteration writes a distinct cell);
+    * the LHS varies with the loop variable in at least one dimension
+      (so each iteration writes a distinct cell).  A reference varying
+      in one dimension renders as a per-dimension strided slice, one
+      varying in several (the diagonals skewing produces, ``A(I-J,J)``)
+      as a flat strided view of the C-ordered array;
     * value-position variables are all in scope (no scalar reads — the
       dependence analysis that produced the DOALL verdict does not track
       scalars);
@@ -193,16 +189,8 @@ def plan_vector_loop(
                 return f"subscript {sub} uses variables bound inside the loop"
             if lin[v] != 0:
                 vdims += 1
-        if is_lhs and vdims != 1:
-            return (
-                f"LHS varies with {v} in {vdims} dimensions; "
-                "each iteration must write one distinct cell"
-            )
-        if not is_lhs and vdims > 1:
-            return (
-                f"reference varies with {v} in {vdims} dimensions; "
-                "no single strided slice maps it"
-            )
+        if is_lhs and vdims == 0:
+            return f"LHS does not vary with {v}; every iteration writes one cell"
         return None
 
     why = ref_block_reason(st.lhs, is_lhs=True)

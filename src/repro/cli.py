@@ -205,13 +205,12 @@ def cmd_run(args) -> int:
             _client(url).run(
                 program_to_str(program), _params(args.param),
                 backend=args.backend, trace=args.trace,
-                par_jobs=getattr(args, "par_jobs", None),
             )
         )
     else:
         result = api.run_op(
             program, _params(args.param), backend=args.backend,
-            par_jobs=getattr(args, "par_jobs", None), trace=args.trace,
+            trace=args.trace,
         )
     result.tuned_banner = banner
     print(result.render())
@@ -226,8 +225,7 @@ def cmd_bench(args) -> int:
     program = _load_flexible(args.file)
     params = _params(args.param) or {p: 40 for p in program.params}
     backends = tuple(args.backend) if args.backend else BACKENDS
-    rows = bench_backends(program, params, backends=backends, repeat=args.repeat,
-                          par_jobs=getattr(args, "par_jobs", None))
+    rows = bench_backends(program, params, backends=backends, repeat=args.repeat)
     print(f"program {program.name}  params {params}  (best of {args.repeat})")
     print(f"{'backend':<12} {'seconds':>12} {'speedup':>9}  ok")
     failed = False
@@ -366,7 +364,7 @@ def cmd_report(args) -> int:
 #: kept in sync with :data:`repro.explain.PHASES` (literal here so the
 #: argparse setup does not import the tune stack on every CLI start)
 _EXPLAIN_PHASES = (
-    "legality", "symbolic", "complete", "vectorize", "wavefront", "tune"
+    "legality", "symbolic", "complete", "vectorize", "tune"
 )
 
 
@@ -395,10 +393,6 @@ def cmd_fuzz(args) -> int:
     shrunk to minimal repros and serialized into the corpus."""
     from repro.fuzz import fuzz_run, known_illegal_case, known_unsound_case
 
-    if getattr(args, "par_jobs", None) is not None:
-        # Exported rather than passed down so the fuzz worker *processes*
-        # inherit the source-par pool size too.
-        os.environ["REPRO_PAR_JOBS"] = str(args.par_jobs)
     inject = {}
     if args.inject_illegal:
         inject[0] = known_illegal_case()
@@ -552,11 +546,6 @@ def main(argv: list[str] | None = None) -> int:
         help="execution backend (see docs/BACKENDS.md)",
     )
     p.add_argument(
-        "--par-jobs", type=int, default=None, metavar="N",
-        help="worker count for the source-par backend (default: "
-        "$REPRO_PAR_JOBS, then one per CPU; see docs/PARALLEL.md)",
-    )
-    p.add_argument(
         "--tuned",
         action="store_true",
         help="apply the cached best schedule from `repro tune` "
@@ -581,11 +570,6 @@ def main(argv: list[str] | None = None) -> int:
         help="backend to time (repeatable; default: all)",
     )
     p.add_argument("--repeat", type=int, default=3, help="best-of-N timing")
-    p.add_argument(
-        "--par-jobs", type=int, default=None, metavar="N",
-        help="worker count for the source-par backend (default: "
-        "$REPRO_PAR_JOBS, then one per CPU; see docs/PARALLEL.md)",
-    )
     p.add_argument("--json", metavar="PATH", help="also write the table as JSON")
     p.set_defaults(fn=cmd_bench)
 
@@ -714,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--backend",
         action="append",
-        choices=("compiled", "source", "source-vec", "source-par"),
+        choices=("source", "source-vec"),
         help="also cross-check every legal case's execution against this "
         "backend (repeatable; see docs/BACKENDS.md)",
     )
@@ -725,11 +709,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also cross-check every case's source program against a "
         "running `repro serve` daemon (warm-path oracle; see "
         "docs/SERVICE.md)",
-    )
-    p.add_argument(
-        "--par-jobs", type=int, default=None, metavar="N",
-        help="worker count for source-par cross-checks (exported as "
-        "REPRO_PAR_JOBS so fuzz worker processes inherit it)",
     )
     p.set_defaults(fn=cmd_fuzz)
 

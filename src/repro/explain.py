@@ -10,10 +10,9 @@ the autotuner's cost ranking compared to the measured ranking
 
 All phases except ``tune`` re-run the relevant pipeline stage under the
 CLI's observability session and render the typed decision events it
-emits (:mod:`repro.obs.events`) — ``wavefront`` explains, loop by loop,
-why the ``source-par`` backend did or did not find a parallel band; the
-``tune`` phase reads the persisted cache entry a prior ``repro tune``
-wrote, so explaining a tuning run never re-searches or re-measures.
+emits (:mod:`repro.obs.events`); the ``tune`` phase reads the persisted
+cache entry a prior ``repro tune`` wrote, so explaining a tuning run
+never re-searches or re-measures.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.util.errors import ReproError
 __all__ = ["cmd_explain", "explain_program", "PHASES", "render_tune_ranking"]
 
 #: Phases ``--phase`` accepts, in pipeline order.
-PHASES = ("legality", "symbolic", "complete", "vectorize", "wavefront", "tune")
+PHASES = ("legality", "symbolic", "complete", "vectorize", "tune")
 
 #: Index into the session's event list where the current explain run
 #: started.  The CLI installs a fresh session per command so this is 0
@@ -144,30 +143,6 @@ def _explain_vectorize(program, args) -> tuple[str, list]:
         head = f"verdict: program cannot be lowered — {exc}"
     events = _phase_events("vectorize")
     return head + "\n" + obs.render_events(events, kind="vectorize"), events
-
-
-def _explain_wavefront(program, args) -> tuple[str, list]:
-    from repro.backend.lower import lower_program
-
-    try:
-        lowered = lower_program(program, vectorize=True, parallel=True)
-        if lowered.wavefront_loops:
-            head = (
-                f"verdict: {lowered.wavefront_loops} wavefront loop(s) "
-                f"dispatched over the worker pool "
-                f"({lowered.vectorized_loops} further loop(s) vectorized "
-                f"inside or outside the band)"
-            )
-        else:
-            head = (
-                "verdict: no wavefront band — source-par degrades to the "
-                "serial source-vec emission (skew the nest to expose one; "
-                "see docs/PARALLEL.md)"
-            )
-    except ReproError as exc:
-        head = f"verdict: program cannot be lowered — {exc}"
-    events = _phase_events("wavefront")
-    return head + "\n" + obs.render_events(events, kind="wavefront"), events
 
 
 def render_tune_ranking(entry: dict) -> str:
@@ -287,7 +262,6 @@ def _explain_program_inner(program, args) -> int:
                 "symbolic": _explain_symbolic,
                 "complete": _explain_complete,
                 "vectorize": _explain_vectorize,
-                "wavefront": _explain_wavefront,
             }[phase]
             text, events = fn(program, args)
             payload["phases"][phase] = {"events": [ev.to_dict() for ev in events]}

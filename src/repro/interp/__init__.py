@@ -5,7 +5,6 @@ from repro.interp.equivalence import (
     check_equivalence, dependences_preserved, ground_truth_dependences,
     outputs_close, same_instances,
 )
-from repro.interp.compiled import compile_program, execute_compiled
 from repro.interp.executor import ArrayStore, ExecRecord, Trace, default_init, execute
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "check_equivalence", "same_instances", "dependences_preserved",
     "outputs_close", "ground_truth_dependences",
     "CacheConfig", "CacheStats", "simulate_cache", "trace_addresses",
-    "execute_compiled", "compile_program",
 ]

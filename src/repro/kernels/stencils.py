@@ -56,9 +56,9 @@ def gauss_seidel_1d() -> Program:
 def seidel_2d() -> Program:
     """In-place 2-D Gauss-Seidel sweep: both loops carry dependences,
     so neither vectorizes as written — but ``skew(I,J,1)`` makes ``J``
-    DOALL, exposing the diagonal wavefronts the ``source-par`` backend
-    executes in parallel (each front's accesses are array diagonals,
-    which only the flat-view renderer can express)."""
+    DOALL, exposing diagonal wavefronts that ``source-vec`` runs as one
+    slice assignment per front (each front's accesses are array
+    diagonals, rendered as flat strided views)."""
     return parse_program(
         """
         param N

@@ -111,12 +111,11 @@ class ServiceClient:
         params: Mapping[str, int] | None = None,
         *,
         backend: str = "reference",
-        par_jobs: int | None = None,
         trace: bool = False,
     ) -> dict:
         return self.request(
             "run", program=program, params=dict(params or {}),
-            backend=backend, par_jobs=par_jobs, trace=trace,
+            backend=backend, trace=trace,
         )
 
     def tune(

@@ -2,13 +2,13 @@
 
 A request on the wire is one JSON object::
 
-    {"protocol": 1, "op": "analyze", "args": {"program": "...", ...}}
+    {"protocol": 2, "op": "analyze", "args": {"program": "...", ...}}
 
 and every response is::
 
-    {"protocol": 1, "ok": true,  "result": {...},
+    {"protocol": 2, "ok": true,  "result": {...},
      "cached": false, "coalesced": false, "served_ns": 1234567}
-    {"protocol": 1, "ok": false, "error": "...", "error_kind": "ParseError"}
+    {"protocol": 2, "ok": false, "error": "...", "error_kind": "ParseError"}
 
 Each operation has a frozen request dataclass here; the ``args`` object
 is exactly its non-``op`` fields.  :func:`decode_request` validates the
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to request args or result payloads.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class RunRequest:
     program: str
     params: dict[str, int] = dataclasses.field(default_factory=dict)
     backend: str = "reference"
-    par_jobs: int | None = None
     trace: bool = False
 
 

@@ -195,7 +195,6 @@ class ReproService:
                 program,
                 {k: int(v) for k, v in req.params.items()},
                 backend=req.backend,
-                par_jobs=req.par_jobs,
                 trace=req.trace,
             ).to_payload()
         if op == "tune":

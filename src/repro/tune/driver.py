@@ -99,14 +99,6 @@ TIE_BAND = 1.03
 #: never survive static ranking to be measured at all.
 BLOCKED_SLOTS = 2
 
-#: Extra beam/measurement slots reserved for the best *wavefront* (skew
-#: that exposes a DOALL loop) candidates when tuning for the
-#: ``source-par`` backend.  The static cost model knows nothing about
-#: parallel execution, so skew-then-parallelize schedules — whose whole
-#: payoff is the worker pool and the flat-slice fronts — would otherwise
-#: never survive ranking to be measured.
-WAVEFRONT_SLOTS = 2
-
 #: Extra beam/measurement slots reserved for the best *rescued*
 #: (Theorem-2-illegal, symbolically certified) candidates when
 #: ``tune --symbolic`` is on.  Rescued schedules are typically
@@ -274,23 +266,17 @@ def _is_blocked(cand: Candidate) -> bool:
     return cand.context.is_tiled and "blocked" in cand.kind
 
 
-def _is_wavefront(cand: Candidate) -> bool:
-    return "wavefront" in cand.kind
-
-
 def _stratified(
     ranked: list[tuple[Candidate, CostReport]],
     width: int,
     blocked_slots: int,
-    wavefront_slots: int = 0,
     symbolic_slots: int = 0,
     rescued_keys: frozenset | set = frozenset(),
 ) -> list[tuple[Candidate, CostReport]]:
     """The top ``width`` candidates, plus up to ``blocked_slots`` of the
-    best blocked candidates when none made the cut on score alone, plus
-    up to ``wavefront_slots`` of the best wavefront candidates likewise
-    (both strata are cost-model blind spots: cache payoff and parallel
-    payoff respectively), plus up to ``symbolic_slots`` of the best
+    best blocked candidates when none made the cut on score alone (a
+    cost-model blind spot: their payoff is cache reuse at real sizes),
+    plus up to ``symbolic_slots`` of the best
     symbolically rescued candidates (whose payoff — a legal-looking
     schedule Theorem 2 cannot admit — the score cannot express at
     all)."""
@@ -299,12 +285,6 @@ def _stratified(
         head = head + [
             item for item in ranked[width:] if _is_blocked(item[0])
         ][:blocked_slots]
-    if wavefront_slots and not any(_is_wavefront(c) for c, _ in head):
-        taken = {id(item[0]) for item in head}
-        head = head + [
-            item for item in ranked
-            if _is_wavefront(item[0]) and id(item[0]) not in taken
-        ][:wavefront_slots]
     if symbolic_slots and not any(
         c.canonical_key() in rescued_keys for c, _ in head
     ):
@@ -391,7 +371,6 @@ def tune(
     audit: list[dict] = []
     cap = resolve_max_candidates(max_candidates)
     blocked_slots = BLOCKED_SLOTS if tile_sizes else 0
-    wavefront_slots = WAVEFRONT_SLOTS if backend == "source-par" else 0
     symbolic_slots = SYMBOLIC_SLOTS if symbolic else 0
     with span("tune.search", program=program.name, backend=backend):
         candidates = enumerate_candidates(
@@ -399,7 +378,6 @@ def tune(
             include_structural=include_structural,
             tile_sizes=tile_sizes,
             max_candidates=max_candidates,
-            wavefront=bool(wavefront_slots),
         )
         enumerated = len(candidates)
         counter("tune.candidates.enumerated", enumerated)
@@ -420,7 +398,7 @@ def tune(
 
         beam = _stratified(
             sorted(pool.values(), key=_rank_key), beam_width, blocked_slots,
-            wavefront_slots, symbolic_slots, rescued_keys,
+            symbolic_slots, rescued_keys,
         )
         elem_cache: dict[int, list[Candidate]] = {}
         for _level in range(1, max(1, depth)):
@@ -465,12 +443,12 @@ def tune(
                         rescued_keys.add(cand.canonical_key())
             beam = _stratified(
                 sorted(pool.values(), key=_rank_key), beam_width, blocked_slots,
-                wavefront_slots, symbolic_slots, rescued_keys,
+                symbolic_slots, rescued_keys,
             )
 
         ranked = sorted(pool.values(), key=_rank_key)
         survivors = _stratified(ranked, max(1, top_k), blocked_slots,
-                                wavefront_slots, symbolic_slots, rescued_keys)
+                                symbolic_slots, rescued_keys)
         cut = {c.canonical_key() for c, _ in survivors}
         for rank, (cand, cost) in enumerate(ranked, 1):
             selected = cand.canonical_key() in cut

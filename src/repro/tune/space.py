@@ -58,7 +58,7 @@ __all__ = [
     "lead_candidates", "blocked_lead_candidates", "elementary_candidates",
     "enumerate_candidates", "compose_candidate", "dedupe",
     "skew_factors_from_deps", "loop_paths", "cap_candidates",
-    "resolve_max_candidates", "exposes_wavefront", "wavefront_candidates",
+    "resolve_max_candidates",
 ]
 
 #: Upper bound on |skew factor| accepted from dependence entries.
@@ -545,41 +545,6 @@ def elementary_candidates(
     return out
 
 
-def exposes_wavefront(layout: Layout, matrix, deps: DependenceMatrix) -> bool:
-    """True when some loop of the transformed program is DOALL *and* the
-    program has dependences — i.e. the schedule genuinely creates
-    wavefront parallelism the ``source-par`` backend can dispatch, as
-    opposed to parallelism that was already there (dependence-free
-    programs are trivially parallel under any schedule)."""
-    from repro.analysis.parallel import parallel_loops
-
-    if not any(True for _ in deps):
-        return False
-    try:
-        marks = parallel_loops(layout, matrix, deps)
-    except ReproError:
-        return False
-    return any(m.is_parallel for m in marks)
-
-
-def wavefront_candidates(ctx: Context) -> list[Candidate]:
-    """Skew candidates retagged ``kind="wavefront"`` when they expose a
-    DOALL loop on a program that has dependences — the skew-then-
-    parallelize moves the ``source-par`` backend exists for.  Emitted
-    *before* :func:`elementary_candidates` in enumeration order so
-    :func:`dedupe` (which keeps first occurrences) retains the
-    wavefront tag over the plain skew duplicate."""
-    out: list[Candidate] = []
-    for cand in elementary_candidates(ctx):
-        if cand.kind != "skew":
-            continue
-        if exposes_wavefront(ctx.layout, cand.matrix, ctx.deps):
-            out.append(Candidate(ctx, cand.matrix, cand.steps, "wavefront"))
-    if out:
-        counter("tune.space.wavefront_candidates", len(out))
-    return out
-
-
 def compose_candidate(base: Candidate, step: Candidate) -> Candidate:
     """Extend ``base`` by one elementary ``step`` of the same context
     (matrix product — ``step`` applies after ``base``)."""
@@ -618,17 +583,13 @@ def enumerate_candidates(
     tile_sizes: Sequence[int] | None = None,
     max_tiled_variants: int = MAX_TILED_VARIANTS,
     max_candidates: int | None = None,
-    wavefront: bool = False,
 ) -> list[Candidate]:
     """The full level-1 candidate set: the default order, every
     completed loop order, every elementary transformation of the
     original program, loop orders of each legal structural
     (distribution/jamming/fusion) variant, and — when ``tile_sizes`` is
     given — identity, loop orders, and blocked two-row orders of every
-    strip-mined variant.  With ``wavefront=True`` (the driver sets it
-    for the ``source-par`` backend), skew candidates that expose a DOALL
-    loop are additionally tagged ``kind="wavefront"`` so the driver can
-    reserve measurement slots for them.  Deduplicated and capped at
+    strip-mined variant.  Deduplicated and capped at
     :func:`resolve_max_candidates`; legality is *not* checked here — the
     driver prunes with the Theorem-2 test before scoring or executing
     anything."""
@@ -643,8 +604,6 @@ def enumerate_candidates(
         out.append(identity_candidate(ctx))
         out.extend(lead_candidates(ctx))
         if i == 0:
-            if wavefront:
-                out.extend(wavefront_candidates(ctx))
             out.extend(elementary_candidates(ctx))
     if tile_sizes:
         for ctx in tiled_contexts(

@@ -1,7 +1,5 @@
 """Dependence graphs and Allen–Kennedy maximal distribution."""
 
-import networkx as nx
-
 from repro.analysis import dependence_graph, distribution_plan, maximal_distribution
 from repro.dependence import analyze_dependences
 from repro.interp import ArrayStore, execute, outputs_close
@@ -31,13 +29,14 @@ class TestDependenceGraph:
         p = parse_program(PIPELINE)
         g = dependence_graph(analyze_dependences(p), at_loop=(0,))
         assert set(g.nodes) == {"S1", "S2", "S3"}
-        assert nx.is_directed_acyclic_graph(g)
+        # acyclic: every SCC a single statement, no self-loop
+        assert all(len(c) == 1 for c in g.sccs())
+        assert not any(u == v for u, v in g.edges)
         assert g.has_edge("S1", "S2") and g.has_edge("S2", "S3")
 
     def test_cholesky_is_one_scc(self, simp_chol):
         g = dependence_graph(analyze_dependences(simp_chol), at_loop=(0,))
-        sccs = list(nx.strongly_connected_components(g))
-        assert any({"S1", "S2"} <= s for s in sccs)
+        assert any({"S1", "S2"} <= set(c) for c in g.sccs())
 
     def test_outer_carried_edges_dropped(self):
         # S2->S1 back edge carried by T: invisible at the inner loop
@@ -133,3 +132,27 @@ class TestMaximalDistribution:
         )
         out = maximal_distribution(p)
         assert program_to_str(out, header=False) == program_to_str(p, header=False)
+
+
+class TestComponents:
+    def test_cycle_collapses_and_orders_by_source(self):
+        from repro.analysis.graph import _ordered_components
+
+        # 2 <-> 3 form one group; 0 feeds it, 1 and 4 are independent
+        succ = {0: {2}, 1: set(), 2: {3}, 3: {2}, 4: set()}
+        assert _ordered_components(range(5), succ) == [[0], [1], [2, 3], [4]]
+
+    def test_dependence_on_later_child_reorders(self):
+        from repro.analysis.graph import _ordered_components
+
+        assert _ordered_components(range(3), {0: set(), 1: {0}, 2: set()}) == [
+            [1], [0], [2]
+        ]
+
+    def test_long_chain_is_iterative(self):
+        from repro.analysis.graph import _sccs
+
+        n = 5000  # far past the default recursion limit
+        succ = {i: [i + 1] for i in range(n - 1)}
+        succ[n - 1] = [0]
+        assert [sorted(c) for c in _sccs(range(n), succ)] == [list(range(n))]

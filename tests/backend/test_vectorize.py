@@ -1,16 +1,17 @@
 """Vectorization planning: DOALL verdicts gate it, syntactic legality
 conditions on subscripts/values decide slice-assignment emission, and
-``_vslice`` reproduces the per-iteration index walk exactly."""
+``_vslice``/``_fview`` reproduce the per-iteration index walk exactly."""
 
 import numpy as np
 import pytest
 
 from repro.backend import doall_loop_vars, lower_program, plan_vector_loop, run
-from repro.backend.lower import _vslice
+from repro.backend.lower import _fview, _vslice
 from repro.interp import ArrayStore, execute
 from repro.ir import parse_program
 from repro.ir.ast import Loop, Statement
 from repro.kernels import cholesky, gauss_seidel_1d, jacobi_1d
+from repro.util.errors import InterpError
 
 
 def inner_loop(program):
@@ -101,16 +102,26 @@ class TestPlanConditions:
             "do I = 1..N\n  S1: A(I) = B(mod(I, 2))\nenddo"
         ) is None
 
-    def test_two_varying_dims_rejected(self):
-        # A(I, I) is a diagonal, not a strided slice
-        assert plan_for(
-            "param N\nreal A(N, N)\n"
-            "do I = 1..N\n  S1: A(I, I) = 1.0\nenddo"
-        ) is None
+    def test_diagonal_vectorizes(self):
+        # A(I, I) varies in two dimensions: no per-dimension slice maps
+        # it, but its cells are a flat strided view of the array
+        src = (
+            "param N\nreal A(N, N)\nreal B(N, N)\n"
+            "do I = 1..N\n  S1: A(I, I) = B(I, N + 1 - I) + f(I)\nenddo"
+        )
+        plan = plan_for(src)
+        assert plan is not None and plan.needs_iota
+        p = parse_program(src)
+        low = lower_program(p, vectorize=True)
+        assert low.vectorized_loops == 1 and "_fview(" in low.source
+        ref, _ = execute(p, {"N": 7})
+        vec = run(p, {"N": 7}, backend="source-vec")
+        for k, a in ref.arrays.items():
+            assert np.array_equal(vec.arrays[k], a)
 
     def test_invariant_lhs_rejected(self):
         # every iteration writes the same cell: not DOALL-shaped anyway,
-        # and the LHS must vary in exactly one dimension
+        # and the LHS must vary in at least one dimension
         assert plan_for(
             "param N\nreal A(N)\nreal B(N)\n"
             "do I = 1..N\n  S1: A(1) = B(I)\nenddo"
@@ -175,3 +186,62 @@ class TestVsliceSemantics:
         arr = np.arange(6.0)
         got = arr[_vslice(0, 5, -1, 5)]
         assert got.tolist() == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+
+
+class TestFviewSemantics:
+    @pytest.mark.parametrize("lo,hi,cs,offs", [
+        (0, 4, (1, 1), (0, 0)),        # main diagonal
+        (1, 5, (-1, 1), (6, 0)),       # anti-diagonal, negative row step
+        (2, 2, (1, -1), (0, 5)),       # a single cell
+        (0, 2, (2, 1), (0, 1)),        # row stride 2
+        (0, 5, (-1, -1), (5, 5)),      # reversed, ends at flat index 0
+    ])
+    def test_matches_pointwise_indexing(self, lo, hi, cs, offs):
+        arr = np.arange(42.0).reshape(6, 7)
+        want = [arr[cs[0] * v + offs[0], cs[1] * v + offs[1]]
+                for v in range(lo, hi + 1)]
+        assert _fview(arr, lo, hi, cs, offs).tolist() == want
+
+    def test_view_writes_through(self):
+        arr = np.zeros((4, 4))
+        _fview(arr, 0, 3, (1, 1), (0, 0))[:] = 1.0
+        assert np.array_equal(arr, np.eye(4))
+
+    @pytest.mark.parametrize("lo,hi,cs,offs", [
+        (0, 4, (1, 1), (0, 0)),        # row 4 of a 4-row array
+        (0, 3, (1, 1), (-1, 0)),       # row -1: would wrap to the end
+        (0, 3, (1, 2), (0, 0)),        # column 6 of 4: would wrap a row
+        (0, 3, (1, 1), (0, 4)),        # an invariant offset out of range
+    ])
+    def test_out_of_extent_raises(self, lo, hi, cs, offs):
+        with pytest.raises(IndexError):
+            _fview(np.zeros((4, 4)), lo, hi, cs, offs)
+
+
+class TestVectorErrors:
+    """Vectorized statements fail with the reference's typed error."""
+
+    def test_flat_view_past_a_row_raises(self):
+        # A(I, I + 1) leaves the last column at I = N, where a flat view
+        # would silently wrap into the next row
+        p = parse_program(
+            "param N\nreal A(N, N)\n"
+            "do I = 1..N\n  S1: A(I, I + 1) = 1.0\nenddo"
+        )
+        assert lower_program(p, vectorize=True).vectorized_loops == 1
+        for backend in ("reference", "source-vec"):
+            with pytest.raises(InterpError):
+                run(p, {"N": 4}, backend=backend)
+
+    def test_slice_length_mismatch_raises(self):
+        # A(I) = B(I) for I up to N + 2: both slices truncate, to
+        # different lengths, and NumPy's broadcast ValueError must not
+        # leak out raw
+        p = parse_program(
+            "param N\nreal A(1:N)\nreal B(1:N+5)\n"
+            "do I = 1..N+2\n  S1: A(I) = B(I)\nenddo"
+        )
+        assert lower_program(p, vectorize=True).vectorized_loops == 1
+        for backend in ("reference", "source", "source-vec"):
+            with pytest.raises(InterpError):
+                run(p, {"N": 4}, backend=backend)

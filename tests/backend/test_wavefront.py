@@ -1,14 +1,15 @@
-"""The source-par backend's correctness gauntlet: wavefront dispatch
-must be *bit-exact* against the reference interpreter on every front
-shape (wide anti-diagonal slices, shrinking triangular fronts, tiled
-chunk-mode bodies) and at every worker count — parallelism is an
-execution detail, never an answer change.  docs/PARALLEL.md carries the
-determinism argument these tests pin down.
-
-``REPRO_PAR_MIN_FRONT=1`` forces pool dispatch even for the tiny fronts
-of test-sized programs; without it the width cutoff would quietly run
-everything serially and the jobs sweep would test nothing.
+"""Wavefront programs on ``source-vec``: after a skew, every front of a
+stencil is one slice assignment, and its diagonal references (varying
+with the front variable in several dimensions) render as flat strided
+views.  Every front shape — wide anti-diagonals, shrinking triangular
+fronts, tiled bodies that stay scalar — must be *bit-exact* against the
+reference interpreter, and stay so when several workers run the same
+lowered program at once (the service executes requests on concurrent
+threads against one shared lowering cache).  docs/BACKENDS.md carries
+the argument.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,79 +36,83 @@ def _scheduled(program, spec):
     return simplify_program(generated.program)
 
 
-def _assert_par_exact(p, params, jobs, monkeypatch):
-    monkeypatch.setenv("REPRO_PAR_MIN_FRONT", "1")
+def _assert_vec_exact(p, params, jobs=1):
+    """Run ``p`` on source-vec from ``jobs`` concurrent threads; every
+    run must be bit-identical to the reference interpreter."""
     base = ArrayStore(p, dict(params)).snapshot()
     ref, _ = execute(p, params, arrays=base)
-    par = run(p, params, arrays=base, backend="source-par", par_jobs=jobs)
-    for k, a in ref.arrays.items():
-        assert np.array_equal(par.arrays[k], a), (
-            f"array {k} not bit-identical at par_jobs={jobs}"
-        )
-    assert par.scalars == ref.scalars
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        runs = list(pool.map(
+            lambda _: run(p, params, arrays=base, backend="source-vec"),
+            range(jobs),
+        ))
+    for vec in runs:
+        for k, a in ref.arrays.items():
+            assert np.array_equal(vec.arrays[k], a), (
+                f"array {k} not bit-identical with {jobs} workers"
+            )
+        assert vec.scalars == ref.scalars
 
 
 @pytest.mark.parametrize("jobs", JOBS_SWEEP)
 class TestBitExactAcrossWorkerCounts:
-    def test_skewed_seidel_2d(self, jobs, monkeypatch):
+    def test_skewed_seidel_2d(self, jobs):
         # the canonical wavefront: skew turns the diagonal dependence
-        # pattern into wide DOALL anti-diagonal fronts (slice mode)
+        # pattern into wide DOALL anti-diagonal fronts
         p = _scheduled(seidel_2d(), "skew(I, J, 1)")
-        _assert_par_exact(p, {"N": 13}, jobs, monkeypatch)
+        _assert_vec_exact(p, {"N": 13}, jobs)
 
-    def test_skewed_gauss_seidel_1d(self, jobs, monkeypatch):
+    def test_skewed_gauss_seidel_1d(self, jobs):
         # a single skew is not enough here (the inner distance-(0,1)
         # dependence survives); skew-then-permute exposes the band
         p = _scheduled(gauss_seidel_1d(), "skew(I, S, 2); permute(S, I)")
-        _assert_par_exact(p, {"N": 9, "T": 5}, jobs, monkeypatch)
+        _assert_vec_exact(p, {"N": 9, "T": 5}, jobs)
 
-    def test_jacobi_1d_unskewed(self, jobs, monkeypatch):
+    def test_jacobi_1d_unskewed(self, jobs):
         # already-DOALL inner loops need no skew at all: each time step
         # is one front
-        _assert_par_exact(jacobi_1d(), {"N": 24, "T": 6}, jobs, monkeypatch)
+        _assert_vec_exact(jacobi_1d(), {"N": 24, "T": 6}, jobs)
 
-    def test_tiled_trmm(self, jobs, monkeypatch):
-        # tiling introduces non-unit strides and guard-heavy bounds;
-        # fronts fall back to chunk mode and must still agree
+    def test_tiled_trmm(self, jobs):
+        # tiling introduces non-unit strides and guard-heavy bounds
         p = _scheduled(trmm(), "tile(I, 8)")
-        _assert_par_exact(p, {"N": 21}, jobs, monkeypatch)
+        _assert_vec_exact(p, {"N": 21}, jobs)
 
 
 @given(st.integers(0, 10_000), st.sampled_from(SHAPES))
 @settings(max_examples=30, deadline=None)
-def test_source_par_matches_reference_on_random_programs(seed, shape):
+def test_source_vec_matches_reference_on_random_programs(seed, shape):
     """Whatever nest the generator produces — wavefront band or not —
-    source-par must agree with the tree walker (the cross-backend fuzz
+    source-vec must agree with the tree walker (the cross-backend fuzz
     oracle's claim, pinned as a property)."""
     p = random_program(seed, shape=shape)
     params = {name: 5 for name in p.params}
     base = ArrayStore(p, dict(params)).snapshot()
     ref, _ = execute(p, params, arrays=base)
-    par = run(p, params, arrays=base, backend="source-par", par_jobs=4)
-    assert outputs_close(ref.snapshot(), par.snapshot())
-    assert set(par.scalars) == set(ref.scalars)
+    vec = run(p, params, arrays=base, backend="source-vec")
+    assert outputs_close(ref.snapshot(), vec.snapshot())
+    assert set(vec.scalars) == set(ref.scalars)
 
 
 class TestNoWavefrontFallback:
     def test_unskewed_seidel_degrades_to_serial(self):
-        """No DOALL band without the skew: lowering reports zero
-        wavefront loops, emits a program-level reject event, and the
-        serial emission still runs correctly."""
+        """No DOALL loop without the skew: lowering vectorizes nothing,
+        the decision trail says why, and the scalar emission still runs
+        correctly."""
         p = gauss_seidel_1d()
         deps = analyze_dependences(p)
         with obs.session() as sess:
-            lowered = lower_program(p, vectorize=True, parallel=True, deps=deps)
-            events = [ev for ev in sess.events if ev.kind == "wavefront"]
-        assert lowered.parallel and lowered.wavefront_loops == 0
-        assert any(ev.verdict == "reject" for ev in events)
-        params = {"N": 9, "T": 4}
-        base = ArrayStore(p, dict(params)).snapshot()
-        ref, _ = execute(p, params, arrays=base)
-        par = run(p, params, arrays=base, backend="source-par")
-        for k, a in ref.arrays.items():
-            assert np.array_equal(par.arrays[k], a)
+            lowered = lower_program(p, vectorize=True, deps=deps)
+            events = [ev for ev in sess.events if ev.kind == "vectorize"]
+        assert lowered.vectorized_loops == 0
+        assert events and all(ev.verdict == "reject" for ev in events)
+        _assert_vec_exact(p, {"N": 9, "T": 4})
 
     def test_skewed_seidel_reports_wavefront_loop(self):
+        # the front loop is the innermost DOALL loop; its diagonal
+        # references render as flat views, so nothing stays scalar
         p = _scheduled(seidel_2d(), "skew(I, J, 1)")
-        lowered = lower_program(p, vectorize=True, parallel=True)
-        assert lowered.wavefront_loops == 1
+        lowered = lower_program(p, vectorize=True)
+        assert lowered.vectorized_loops == 1
+        assert lowered.fallback_loops == 0
+        assert "_fview(" in lowered.source

@@ -1,10 +1,15 @@
-"""Compiled executor: bit-identical to the reference interpreter."""
+"""The compiled ``source`` backend (lowered Python source): bit-identical
+to the reference interpreter, and failing with the same typed errors.
+
+Complements tests/backend/test_lower.py with the Cholesky loop-order
+variants, lattice (divisibility) guards and initial-value checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.interp import ArrayStore, execute, execute_compiled
+from repro.backend import run
+from repro.interp import ArrayStore, execute
 from repro.ir import parse_program
 from repro.kernels import (
     CHOLESKY_VARIANTS, blur_2d, cholesky, cholesky_variant, gemver_like,
@@ -16,7 +21,7 @@ from repro.util.errors import InterpError
 def identical(p, params):
     base = ArrayStore(p, dict(params)).snapshot()
     ref, _ = execute(p, params, arrays=base)
-    fast = execute_compiled(p, params, arrays=base)
+    fast = run(p, params, arrays=base, backend="source")
     return all(
         np.array_equal(ref.arrays[k], fast.arrays[k]) for k in ref.arrays
     ) and ref.scalars == fast.scalars
@@ -73,19 +78,22 @@ class TestAgainstReference:
 
 class TestErrors:
     def test_out_of_range(self):
-        p = parse_program("param N\nreal A(N)\nA(0) = 1.0")
-        with pytest.raises(Exception):
-            execute_compiled(p, {"N": 3})
+        # past the end; a negative 0-based index (A(0) here) wraps on
+        # ``source`` — the documented checking trade-off in
+        # repro.backend.lower
+        p = parse_program("param N\nreal A(N)\nA(N + 1) = 1.0")
+        with pytest.raises(InterpError, match="out of declared range"):
+            run(p, {"N": 3}, backend="source")
 
     def test_unknown_initial_array(self):
         p = parse_program("param N\nreal A(N)\nA(1) = 1.0")
-        with pytest.raises(InterpError):
-            execute_compiled(p, {"N": 3}, arrays={"Z": np.zeros(3)})
+        with pytest.raises(InterpError, match="unknown array"):
+            run(p, {"N": 3}, arrays={"Z": np.zeros(3)}, backend="source")
 
     def test_division_by_zero(self):
         p = parse_program("param N\nreal A(N)\nA(1) = 1.0 / (N - N)")
         with pytest.raises(InterpError):
-            execute_compiled(p, {"N": 3})
+            run(p, {"N": 3}, backend="source")
 
 
 @given(st.integers(0, 50))

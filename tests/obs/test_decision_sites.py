@@ -124,17 +124,18 @@ class TestVectorizeEvents:
     def test_reject_names_blocking_access(self, mem):
         from repro.backend.lower import lower_program
 
-        # LHS varies with the loop in two subscript dimensions: no
-        # single strided slice writes it, so the loop must stay scalar
+        # a non-affine read subscript maps to no slice, so the (DOALL)
+        # loop must stay scalar
         program = parse_program(
             """
             param N
-            real A(N, N)
+            real A(N)
+            real B(0:N)
             do I = 1, N
-              S1: A(I, I) = A(I, I) + 1.0
+              S1: A(I) = B(mod(I, 2))
             enddo
             """,
-            "diag_update",
+            "parity_gather",
         )
         lowered = lower_program(program, vectorize=True)
         assert lowered.vectorized_loops == 0
@@ -143,8 +144,8 @@ class TestVectorizeEvents:
             if ev.attrs.get("access")
         ]
         assert rejects, "blocked loop produced no access-naming reject"
-        assert rejects[0].attrs["access"] == "A(I, I)"
-        assert "2 dimensions" in rejects[0].reason
+        assert rejects[0].attrs["access"] == "B(mod(I, 2))"
+        assert "not affine" in rejects[0].reason
 
 
 class TestTuneEvents:

